@@ -11,19 +11,18 @@ namespace cq::core {
 
 AllocTracker::AllocTracker() {
   const auto s = tensor::alloc_stats();
-  base_allocs_ = s.cumulative_allocations;
+  base_allocs_ = tensor::process_allocations();
   base_hits_ = s.pool_hits;
   base_misses_ = s.pool_misses;
-  epoch_start_allocs_ = s.cumulative_allocations;
+  epoch_start_allocs_ = base_allocs_;
 }
 
 void AllocTracker::end_first_iteration() {
-  first_iter_allocs_ = tensor::alloc_stats().cumulative_allocations -
-                       base_allocs_;
+  first_iter_allocs_ = tensor::process_allocations() - base_allocs_;
 }
 
 void AllocTracker::end_epoch(double seconds, std::int64_t iterations) {
-  const auto now = tensor::alloc_stats().cumulative_allocations;
+  const auto now = tensor::process_allocations();
   epoch_allocs_.push_back(now - epoch_start_allocs_);
   epoch_seconds_.push_back(seconds);
   epoch_start_allocs_ = now;

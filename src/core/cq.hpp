@@ -83,7 +83,10 @@ struct PretrainStats {
   std::int64_t iterations = 0;
   double seconds = 0.0;
 
-  // ---- allocation accounting (tensor::alloc_stats() deltas) ----
+  // ---- allocation accounting ----
+  // Heap-allocation counts are tensor::process_allocations() deltas, so they
+  // include pool workers running conv chunks; pool hit/miss totals are the
+  // calling thread's tensor::alloc_stats() deltas.
   /// Heap allocations performed by the very first training iteration, while
   /// the tensor pool is cold. This approximates pre-pool per-iteration
   /// allocation behavior and is the baseline for the steady-state reduction
@@ -105,8 +108,11 @@ struct PretrainStats {
   std::string profile_json;
 };
 
-/// Captures tensor::alloc_stats() deltas over a pretraining run so every
+/// Captures allocation-counter deltas over a pretraining run so every
 /// runner (SimCLR / BYOL / MoCo) reports identical allocation accounting.
+/// Heap allocations are counted process-wide (every thread's pool misses):
+/// training work also runs on pool workers, and a per-thread count would
+/// miss their allocations.
 /// Construct at the start of train(), call end_first_iteration() once after
 /// the first optimizer step, end_epoch() per epoch, and finish() before
 /// returning stats.

@@ -9,6 +9,8 @@ namespace {
 // Set for the lifetime of each pool worker thread; parallel_for consults it
 // to run nested dispatches inline (one level of parallelism, no deadlocks).
 thread_local bool t_on_worker = false;
+// Open SerialScope count on this thread.
+thread_local int t_serial_depth = 0;
 
 // Per-worker deque capacity. Pushers never block on a full deque — run_job
 // executes overflow chunks inline on the caller — so this only needs to
@@ -45,6 +47,11 @@ ThreadPool::ThreadPool() : size_(configured_threads()) { start_workers(); }
 ThreadPool::~ThreadPool() { stop_workers(); }
 
 bool ThreadPool::on_worker_thread() { return t_on_worker; }
+
+bool ThreadPool::runs_inline() { return t_on_worker || t_serial_depth > 0; }
+
+ThreadPool::SerialScope::SerialScope() { ++t_serial_depth; }
+ThreadPool::SerialScope::~SerialScope() { --t_serial_depth; }
 
 void ThreadPool::set_size(std::size_t n) {
   if (n < 1) n = 1;

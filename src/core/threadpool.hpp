@@ -24,9 +24,10 @@
 //    disjoint region and each tile's accumulation order is independent of
 //    the partition — results are bitwise-identical at every pool size,
 //    enforced by the parallel-vs-serial fuzz suites in tests/.
-//  * Nesting: a parallel_for issued from inside a pool worker runs inline
-//    (serially) on that worker. This keeps one level of parallelism — the
-//    outermost dispatch — and makes the pool deadlock-free by construction.
+//  * Nesting: a parallel_for issued from inside a pool worker, or from
+//    inside a SerialScope, runs inline (serially). This keeps one level of
+//    parallelism — the outermost dispatch — and makes the pool
+//    deadlock-free by construction.
 //  * No allocation per dispatch: task descriptors are POD, the job latch
 //    lives on the caller's stack, and the deques are preallocated. A
 //    steady-state serving forward stays at zero heap allocations with the
@@ -61,6 +62,24 @@ class ThreadPool {
   /// True on a pool worker thread (used to run nested dispatches inline).
   static bool on_worker_thread();
 
+  /// True when a parallel_for issued from this thread runs inline: on a pool
+  /// worker, or inside a SerialScope.
+  static bool runs_inline();
+
+  /// While alive, every parallel_for issued from the constructing thread
+  /// runs inline, exactly as it would on a pool worker. A caller that
+  /// dispatches its own coarse chunks opens one inside each chunk body, so
+  /// the work within a chunk stays serial wherever the chunk runs —
+  /// including on the dispatching thread, which executes chunks of its own
+  /// job while it waits, or when the whole range runs inline.
+  class SerialScope {
+   public:
+    SerialScope();
+    ~SerialScope();
+    SerialScope(const SerialScope&) = delete;
+    SerialScope& operator=(const SerialScope&) = delete;
+  };
+
   /// Invoke fn(begin, end) over disjoint sub-ranges covering [0, total).
   /// Chunks are at least `grain` indices (the last may be smaller); at most
   /// kChunksPerThread chunks per pool thread are created. Runs inline when
@@ -71,7 +90,7 @@ class ThreadPool {
   void parallel_for(std::int64_t total, std::int64_t grain, F&& fn) {
     if (total <= 0) return;
     if (grain < 1) grain = 1;
-    if (size_ <= 1 || total <= grain || on_worker_thread()) {
+    if (size_ <= 1 || total <= grain || runs_inline()) {
       fn(std::int64_t{0}, total);
       return;
     }

@@ -35,6 +35,9 @@ class Conv2d : public Module {
   }
 
   const Conv2dSpec& spec() const { return spec_; }
+  /// Images per training chunk at this input size (DESIGN.md §14; the last
+  /// chunk of a batch may hold fewer). Exposed so tests can hit chunk edges.
+  std::int64_t chunk_images(std::int64_t in_h, std::int64_t in_w) const;
   Parameter& weight() { return weight_; }
 
  protected:
@@ -49,14 +52,11 @@ class Conv2d : public Module {
     std::optional<gemm::QuantSpec> weight_spec;
   };
 
-  ConvGeometry group_geometry(std::int64_t in_h, std::int64_t in_w) const;
-
   Conv2dSpec spec_;
   Parameter weight_;  // [Cout, (Cin/groups) * K * K]
   Parameter bias_;
   std::shared_ptr<const WeightTransform> transform_;
   std::vector<Cache> cache_;
-  Tensor cols_, dcols_;  // per-image im2col scratch, reused across calls
 };
 
 }  // namespace cq::nn

@@ -265,12 +265,23 @@ void micro_kernel(std::int64_t kc, const float* __restrict__ ap,
 
 // Packing scratch, reused across calls so small GEMMs don't pay an
 // allocation each time. thread_local: each CALLING thread (main, serve
-// workers) owns one buffer; pool workers only touch it through the pointers
-// a dispatch hands them, never through this accessor.
+// workers, pool workers running a caller's chunk) owns one buffer; pool
+// workers inside a GEMM's own dispatch only touch it through the pointers
+// the dispatch hands them. Grow-only and sized to the call, so a thread that
+// only ever runs small GEMMs never pins the full MC*KC + KC*NC blocks.
 std::vector<float>& scratch(std::size_t need) {
   static thread_local std::vector<float> buf;
   if (buf.size() < need) buf.resize(need);
   return buf;
+}
+
+// Floats of the largest packed block of one operand: its rows (A, tile MR)
+// or columns (B, tile NR) capped at the cache block and rounded up to whole
+// slivers, times the deepest k-panel.
+std::size_t packed_floats(std::int64_t extent, std::int64_t block,
+                          std::int64_t tile, std::int64_t k) {
+  return static_cast<std::size_t>((std::min(extent, block) + tile - 1) /
+                                  tile * tile * std::min(k, KC));
 }
 
 // k == 0 / empty-sum path: C is already zeroed (or holds the accumulate-mode
@@ -298,7 +309,7 @@ constexpr std::int64_t kMinParallelFlops = 2'000'000;
 
 bool want_parallel(std::int64_t m, std::int64_t n, std::int64_t k) {
   return core::ThreadPool::instance().size() > 1 &&
-         !core::ThreadPool::on_worker_thread() &&
+         !core::ThreadPool::runs_inline() &&
          2 * m * n * k >= kMinParallelFlops;
 }
 
@@ -329,11 +340,10 @@ void gemm(Trans trans, std::int64_t m, std::int64_t n, std::int64_t k,
   const Strides as = a_strides(trans, m, k);
   const Strides bs = b_strides(trans, k, n);
 
-  const std::size_t a_cap = static_cast<std::size_t>(MC * KC);
-  const std::size_t b_cap = static_cast<std::size_t>(KC * NC);
-  std::vector<float>& buf = scratch(a_cap + b_cap);
+  const std::size_t a_floats = packed_floats(m, MC, MR, k);
+  std::vector<float>& buf = scratch(a_floats + packed_floats(n, NC, NR, k));
   float* ap = buf.data();
-  float* bp = buf.data() + a_cap;
+  float* bp = buf.data() + a_floats;
 
   // Parallel dispatch (DESIGN.md §14): packing splits by sliver, the kernel
   // phase by output tile. Every tile's kc-long accumulation runs entirely
@@ -425,11 +435,7 @@ void gemm_prepacked_b(std::int64_t m, std::int64_t n, std::int64_t k,
       ep != nullptr && ep->bias_kind == Epilogue::Bias::kPerCol ? ep->bias
                                                                 : nullptr;
   const Strides as{k, 1};  // row-major A, kNN orientation
-  // Same scratch request as gemm() so the two entry points share one
-  // steady-state buffer instead of ping-ponging its capacity.
-  std::vector<float>& buf =
-      scratch(static_cast<std::size_t>(MC * KC + KC * NC));
-  float* ap = buf.data();
+  float* ap = scratch(packed_floats(m, MC, MR, k)).data();
 
   // Single k-panel: every write-back both completes the sum (epilogue
   // eligible) and owns the overwrite-vs-accumulate decision. The loop nest

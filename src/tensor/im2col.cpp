@@ -8,6 +8,32 @@
 #include "tensor/gemm.hpp"
 
 namespace cq {
+namespace {
+
+// Where patch tap (kh, kw) reads real pixels. Its source offsets are
+// (y*stride + yoff, x*stride + off); the output x with an in-bounds source
+// column form one contiguous run [x0, x1] (x1 < x0 when the whole row is
+// padding), and likewise y in [y0, y1].
+struct TapRange {
+  std::int64_t off, yoff, x0, x1, y0, y1;
+};
+
+TapRange tap_range(const ConvGeometry& g, std::int64_t kh, std::int64_t kw) {
+  TapRange r;
+  r.off = kw - g.pad;
+  r.yoff = kh - g.pad;
+  r.x0 = std::min(r.off < 0 ? (-r.off + g.stride - 1) / g.stride : 0,
+                  g.out_w());
+  r.x1 = std::min(r.off < g.in_w ? (g.in_w - 1 - r.off) / g.stride : -1,
+                  g.out_w() - 1);
+  r.y0 = std::min(r.yoff < 0 ? (-r.yoff + g.stride - 1) / g.stride : 0,
+                  g.out_h());
+  r.y1 = std::min(r.yoff < g.in_h ? (g.in_h - 1 - r.yoff) / g.stride : -1,
+                  g.out_h() - 1);
+  return r;
+}
+
+}  // namespace
 
 void im2col(const float* image, const ConvGeometry& g, float* cols) {
   im2col(image, g, cols, g.col_cols());
@@ -24,23 +50,11 @@ void im2col(const float* image, const ConvGeometry& g, float* cols,
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
         float* out_row = cols + row * col_stride;
-        // The x positions with an in-bounds source pixel form one contiguous
-        // run: 0 <= x*stride + kw - pad < in_w. Hoisting that range out of
-        // the pixel loop turns the interior into a straight copy (memcpy for
-        // stride 1) framed by zero fills — im2col is the hottest pre-GEMM
-        // pass, and the per-element bounds test defeats vectorization.
-        const std::int64_t off = kw - g.pad;
-        std::int64_t x0 = off < 0 ? (-off + g.stride - 1) / g.stride : 0;
-        std::int64_t x1 =  // inclusive; negative when the whole row is pad
-            off < g.in_w ? (g.in_w - 1 - off) / g.stride : -1;
-        x0 = std::min(x0, ow);
-        x1 = std::min(x1, ow - 1);
-        // Same hoist for y: rows outside [y0, y1] read only padding.
-        const std::int64_t yoff = kh - g.pad;
-        std::int64_t y0 = yoff < 0 ? (-yoff + g.stride - 1) / g.stride : 0;
-        std::int64_t y1 = yoff < g.in_h ? (g.in_h - 1 - yoff) / g.stride : -1;
-        y0 = std::min(y0, oh);
-        y1 = std::min(y1, oh - 1);
+        // Hoisting the in-bounds range out of the pixel loop turns the
+        // interior into a straight copy (memcpy for stride 1) framed by zero
+        // fills — im2col is the hottest pre-GEMM pass, and the per-element
+        // bounds test defeats vectorization.
+        const auto [off, yoff, x0, x1, y0, y1] = tap_range(g, kh, kw);
         std::fill(out_row, out_row + y0 * ow, 0.0f);
         std::fill(out_row + (y1 + 1) * ow, out_row + oh * ow, 0.0f);
         if (g.stride == 1 && ow == g.in_w && y1 >= y0 && x1 >= x0) {
@@ -106,17 +120,7 @@ void im2col_batched(const float* images, std::int64_t n,
         // Identical range hoist to the strided single-image overload above
         // (same copy/fill structure, so the bytes match bit for bit) —
         // computed once per patch row here instead of once per (row, image).
-        const std::int64_t off = kw - g.pad;
-        std::int64_t x0 = off < 0 ? (-off + g.stride - 1) / g.stride : 0;
-        std::int64_t x1 =
-            off < g.in_w ? (g.in_w - 1 - off) / g.stride : -1;
-        x0 = std::min(x0, ow);
-        x1 = std::min(x1, ow - 1);
-        const std::int64_t yoff = kh - g.pad;
-        std::int64_t y0 = yoff < 0 ? (-yoff + g.stride - 1) / g.stride : 0;
-        std::int64_t y1 = yoff < g.in_h ? (g.in_h - 1 - yoff) / g.stride : -1;
-        y0 = std::min(y0, oh);
-        y1 = std::min(y1, oh - 1);
+        const auto [off, yoff, x0, x1, y0, y1] = tap_range(g, kh, kw);
         const bool contiguous =
             g.stride == 1 && ow == g.in_w && y1 >= y0 && x1 >= x0;
         for (std::int64_t img = 0; img < n; ++img) {
@@ -269,22 +273,28 @@ void im2row(const float* image, const ConvGeometry& g, float* rows) {
 }
 
 void col2im(const float* cols, const ConvGeometry& g, float* image_grad) {
+  col2im(cols, g, image_grad, g.col_cols());
+}
+
+void col2im(const float* cols, const ConvGeometry& g, float* image_grad,
+            std::int64_t col_stride) {
   const auto oh = g.out_h(), ow = g.out_w();
   CQ_TRACE_SCOPE_BYTES("col2im", g.col_rows() * oh * ow * sizeof(float));
+  CQ_DCHECK(col_stride >= oh * ow);
   std::int64_t row = 0;
   for (std::int64_t c = 0; c < g.in_channels; ++c) {
     float* chan = image_grad + c * g.in_h * g.in_w;
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        const float* in_row = cols + row * oh * ow;
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t iy = y * g.stride + kh - g.pad;
-          if (iy < 0 || iy >= g.in_h) continue;
-          float* out_row = chan + iy * g.in_w;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride + kw - g.pad;
-            if (ix >= 0 && ix < g.in_w) out_row[ix] += in_row[y * ow + x];
-          }
+        // Only [y0, y1] x [x0, x1] lands on real pixels (the im2col range
+        // hoist); each pixel still takes its adds in row order.
+        const auto [off, yoff, x0, x1, y0, y1] = tap_range(g, kh, kw);
+        const float* in_row = cols + row * col_stride;
+        for (std::int64_t y = y0; y <= y1; ++y) {
+          float* dst = chan + (y * g.stride + yoff) * g.in_w;
+          const float* src = in_row + y * ow;
+          for (std::int64_t x = x0; x <= x1; ++x)
+            dst[x * g.stride + off] += src[x];
         }
       }
     }

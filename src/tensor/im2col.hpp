@@ -81,4 +81,11 @@ void im2row(const float* image, const ConvGeometry& g, float* rows);
 /// gradient to accumulate into).
 void col2im(const float* cols, const ConvGeometry& g, float* image_grad);
 
+/// Strided variant, the adjoint of the strided im2col: reads row r of this
+/// image's column matrix at cols[r * col_stride ..), so one image's slice of
+/// a batched [col_rows, batch * col_cols] matrix scatters back in place.
+/// Requires col_stride >= col_cols.
+void col2im(const float* cols, const ConvGeometry& g, float* image_grad,
+            std::int64_t col_stride);
+
 }  // namespace cq

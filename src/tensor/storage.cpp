@@ -38,6 +38,9 @@ int bucket_index(std::int64_t capacity) {
   return std::bit_width(static_cast<std::uint64_t>(capacity)) - 1;
 }
 
+// Every pool miss on any thread; see tensor::process_allocations().
+std::atomic<std::uint64_t> g_process_allocations{0};
+
 struct Pool {
   std::vector<void*> free_lists[kNumBuckets];  // parked Header blocks
   tensor::AllocStats stats;
@@ -94,6 +97,7 @@ Storage Storage::acquire(std::int64_t numel) {
     h = ::new (raw) Header{{1}, capacity};
     ++p.stats.pool_misses;
     ++p.stats.cumulative_allocations;
+    g_process_allocations.fetch_add(1, std::memory_order_relaxed);
   }
   p.stats.live_bytes += bytes;
   if (p.stats.live_bytes > p.stats.peak_live_bytes)
@@ -120,6 +124,10 @@ void Storage::release() {
 namespace tensor {
 
 AllocStats alloc_stats() { return pool().stats; }
+
+std::uint64_t process_allocations() {
+  return g_process_allocations.load(std::memory_order_relaxed);
+}
 
 void reset_alloc_counters() {
   Pool& p = pool();

@@ -30,6 +30,7 @@
 // Accounting (cq::tensor::alloc_stats()):
 //   pool_hits / pool_misses  — acquires served from a free list vs the heap
 //   cumulative_allocations   — lifetime heap allocations (never reset)
+//   process_allocations()    — the same, summed over every thread
 //   live_bytes               — bytes held by outstanding Storage handles
 //   pooled_bytes             — bytes parked in free lists, ready for reuse
 #pragma once
@@ -124,6 +125,12 @@ struct AllocStats {
 };
 
 AllocStats alloc_stats();
+
+/// Lifetime heap allocations made by EVERY thread's pool — the calling
+/// thread, pool workers running a caller's chunks, serve workers. The
+/// process-wide twin of AllocStats::cumulative_allocations: a delta of zero
+/// across a window proves no thread left pooled storage in it.
+std::uint64_t process_allocations();
 
 /// Zero pool_hits / pool_misses (cumulative_allocations and the byte gauges
 /// are left alone).

@@ -5,6 +5,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -236,6 +237,61 @@ TEST(GemmParallel, PrepackedBBitwiseIdenticalAcrossThreadCounts) {
       ASSERT_EQ(c_par[i], c_serial[i]) << "threads=" << threads << " @" << i;
   }
   pool.set_size(old_size);
+}
+
+// Pack scratch is per calling thread, sized to each call and grow-only, so
+// a small call after a large one reuses a bigger buffer with the packed
+// panels at different offsets than on first use. Each result must still be
+// bitwise the one a fresh thread (a fresh, exactly-sized scratch) computes.
+TEST(GemmScratch, SmallLargeSmallMatchFreshThreadResults) {
+  struct Call {
+    gemm::Trans t;
+    std::int64_t m, n, k;
+    bool quant;  // quantize-on-pack on op(A) plus a bias+ReLU epilogue
+  };
+  const std::vector<Call> calls = {
+      {gemm::Trans::kNN, 5, 7, 3, false},
+      {gemm::Trans::kNT, 300, 1100, 600, true},  // > kMC, > kNC, > kKC
+      {gemm::Trans::kTN, 9, 20, 17, true},
+      {gemm::Trans::kNN, 5, 7, 3, false},
+  };
+  Rng rng(0x5C7A);
+  std::vector<std::array<Tensor, 2>> operands;
+  for (const Call& c : calls) {
+    const auto [asize, bsize] = operand_sizes(c.t, c.m, c.n, c.k);
+    operands.push_back({Tensor::randn(Shape{asize}, rng),
+                        Tensor::randn(Shape{bsize}, rng)});
+  }
+  Tensor bias = Tensor::randn(Shape{300}, rng);
+  gemm::QuantSpec q;
+  q.step = 0.125f;
+  q.inv_step = 8.0f;
+  q.identity = false;
+  auto run = [&](std::size_t i) {
+    const Call& c = calls[i];
+    gemm::Epilogue ep;
+    if (c.quant) {
+      ep.bias = bias.data();
+      ep.bias_kind = gemm::Epilogue::Bias::kPerRow;
+      ep.act = gemm::Epilogue::Act::kRelu;
+    }
+    Tensor out(Shape{c.m * c.n});
+    gemm::gemm(c.t, c.m, c.n, c.k, operands[i][0].data(),
+               operands[i][1].data(), out.data(), false, ep,
+               c.quant ? &q : nullptr, nullptr);
+    return out;
+  };
+  std::vector<Tensor> fresh(calls.size()), sequence(calls.size());
+  for (std::size_t i = 0; i < calls.size(); ++i)
+    std::thread([&, i] { fresh[i] = run(i); }).join();
+  std::thread([&] {
+    for (std::size_t i = 0; i < calls.size(); ++i) sequence[i] = run(i);
+  }).join();
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    ASSERT_EQ(sequence[i].numel(), fresh[i].numel());
+    for (std::int64_t j = 0; j < fresh[i].numel(); ++j)
+      ASSERT_EQ(sequence[i][j], fresh[i][j]) << "call " << i << " @" << j;
+  }
 }
 
 TEST(GemmTest, KZeroZeroesOrPreservesC) {

@@ -211,6 +211,48 @@ TEST(Col2im, IsAdjointOfIm2col) {
   EXPECT_NEAR(lhs, rhs, 1e-3 * std::abs(lhs) + 1e-3);
 }
 
+// Bounds-checked scatter-add, the loop col2im's hoisted ranges replaced.
+void naive_col2im(const float* cols, const ConvGeometry& g, float* grad,
+                  std::int64_t col_stride) {
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < g.in_channels; ++c)
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row)
+        for (std::int64_t y = 0; y < g.out_h(); ++y)
+          for (std::int64_t x = 0; x < g.out_w(); ++x) {
+            const std::int64_t iy = y * g.stride + kh - g.pad;
+            const std::int64_t ix = x * g.stride + kw - g.pad;
+            if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
+              grad[(c * g.in_h + iy) * g.in_w + ix] +=
+                  cols[row * col_stride + y * g.out_w() + x];
+          }
+}
+
+TEST(Col2im, BitwiseMatchesBoundsCheckedScatterIncludingStrided) {
+  Rng rng(3);
+  const ConvGeometry geoms[] = {
+      geom(2, 6, 5, 3, 1, 1), geom(3, 7, 7, 3, 2, 1), geom(1, 9, 8, 5, 2, 2),
+      geom(2, 4, 4, 1, 1, 0), geom(1, 3, 3, 5, 1, 3),  // pad > half kernel
+      geom(2, 5, 6, 3, 3, 0)};
+  for (const ConvGeometry& g : geoms) {
+    for (std::int64_t extra : {0, 7}) {  // plain and strided column matrix
+      const std::int64_t stride = g.col_cols() + extra;
+      Tensor cols = Tensor::randn(Shape{g.col_rows() * stride}, rng);
+      Tensor base =
+          Tensor::randn(Shape{g.in_channels * g.in_h * g.in_w}, rng);
+      Tensor got = base, want = base;
+      if (extra == 0)
+        col2im(cols.data(), g, got.data());
+      else
+        col2im(cols.data(), g, got.data(), stride);
+      naive_col2im(cols.data(), g, want.data(), stride);
+      for (std::int64_t i = 0; i < got.numel(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "k=" << g.kernel_h << " s=" << g.stride
+                                   << " p=" << g.pad << " @" << i;
+    }
+  }
+}
+
 TEST(Col2im, AccumulatesIntoExistingGradient) {
   const auto g = geom(1, 3, 3, 1, 1, 0);
   std::vector<float> cols(9, 1.0f);

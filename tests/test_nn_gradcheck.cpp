@@ -109,6 +109,31 @@ TEST(GradCheck, Conv2dOutChannelsJustPastTile) {
   test::check_module_gradients(conv, x, rng);
 }
 
+// Chunked training: a batch of two chunks, the last one partial, so the
+// multi-image lowering, the in-order dW partial reduction and the per-image
+// col2im scatter all sit under the numeric check.
+TEST(GradCheck, Conv2dMultiChunkPartialLast) {
+  Rng rng(43);
+  nn::Conv2d conv({.in_channels = 2, .out_channels = 3, .kernel = 3,
+                   .stride = 1, .pad = 1, .bias = true},
+                  rng);
+  const std::int64_t chunk = conv.chunk_images(4, 4);
+  ASSERT_GE(chunk, 2);  // room for a partial last chunk
+  Tensor x = Tensor::randn(Shape{chunk + 1, 2, 4, 4}, rng);
+  test::check_module_gradients(conv, x, rng);
+}
+
+TEST(GradCheck, Conv2dGroupedMultiChunk) {
+  Rng rng(44);
+  nn::Conv2d conv({.in_channels = 4, .out_channels = 4, .kernel = 3,
+                   .stride = 2, .pad = 1, .groups = 2},
+                  rng);
+  const std::int64_t chunk = conv.chunk_images(5, 5);
+  ASSERT_GE(chunk, 2);
+  Tensor x = Tensor::randn(Shape{chunk + 1, 4, 5, 5}, rng);
+  test::check_module_gradients(conv, x, rng);
+}
+
 TEST(GradCheck, BatchNorm2d) {
   Rng rng(8);
   nn::BatchNorm2d bn(3);

@@ -25,6 +25,7 @@
 #include "search/topk.hpp"
 #include "tensor/kernels/hamming.hpp"
 #include "tensor/kernels/kernels.hpp"
+#include "testutil.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -431,7 +432,7 @@ TEST(SearchIndex, SaveLoadRoundTripAndTruncationRegression) {
   Rng rng(1111);
   const std::int64_t rows = 200, dim = 40;
   Index index = make_random_index(rng, rows, dim, CodeLayout::k2Bit, true);
-  const std::string path = testing::TempDir() + "cq_search_index.bin";
+  const std::string path = test::temp_path("search_index.bin");
   index.save(path);
 
   Index loaded = Index::load(path);
@@ -463,14 +464,14 @@ TEST(SearchIndex, SaveLoadRoundTripAndTruncationRegression) {
   in.close();
   for (const std::size_t keep :
        {bytes.size() - 1, bytes.size() / 2, std::size_t{10}}) {
-    const std::string cut = testing::TempDir() + "cq_search_truncated.bin";
+    const std::string cut = test::temp_path("search_truncated.bin");
     std::ofstream out(cut, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(keep));
     out.close();
     EXPECT_THROW(Index::load(cut), CheckError) << "keep=" << keep;
   }
   // expect_eof regression: trailing garbage is corruption, not slack.
-  const std::string padded = testing::TempDir() + "cq_search_padded.bin";
+  const std::string padded = test::temp_path("search_padded.bin");
   std::ofstream out(padded, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.put('\x7f');
@@ -544,7 +545,7 @@ const std::string& checkpoint_path() {
       enc.backbone->clear_cache();
     }
     enc.backbone->set_mode(nn::Mode::kEval);
-    std::string p = testing::TempDir() + "cq_search_ckpt.bin";
+    std::string p = test::temp_path("search_ckpt.bin");
     models::save_module(p, *enc.backbone);
     return p;
   }();

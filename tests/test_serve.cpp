@@ -19,6 +19,7 @@
 #include "serve/fp32.hpp"
 #include "serve/queue.hpp"
 #include "serve/stats.hpp"
+#include "testutil.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -39,7 +40,7 @@ const std::string& checkpoint_path() {
       enc.backbone->clear_cache();
     }
     enc.backbone->set_mode(nn::Mode::kEval);
-    std::string p = testing::TempDir() + "cq_serve_ckpt.bin";
+    std::string p = test::temp_path("serve_ckpt.bin");
     models::save_module(p, *enc.backbone);
     return p;
   }();
@@ -556,7 +557,7 @@ TEST(Engine, StatsJsonIsWellFormed) {
 
 TEST(Engine, RejectsCorruptCheckpoint) {
   auto cfg = base_config();
-  cfg.checkpoint = testing::TempDir() + "cq_serve_missing.bin";
+  cfg.checkpoint = test::temp_path("serve_missing.bin");
   EXPECT_THROW(serve::Engine engine(cfg), CheckError);
 }
 

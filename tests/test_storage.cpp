@@ -3,6 +3,7 @@
 // of full training loops at 2 and 4 branches per iteration.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <utility>
 
 #include "core/simclr.hpp"
@@ -131,6 +132,17 @@ TEST(Pool, GaugesTrackLiveAndPooledBytes) {
   EXPECT_EQ(after.pooled_bytes - before.pooled_bytes, 4096);
 }
 
+TEST(Pool, ProcessAllocationsCountEveryThreadsMisses) {
+  const auto mine = tensor::alloc_stats().cumulative_allocations;
+  const auto process = tensor::process_allocations();
+  std::thread([] {
+    // A fresh thread's pool is empty: this acquire must hit the heap.
+    Tensor t = Tensor::empty(Shape{4096});
+  }).join();
+  EXPECT_EQ(tensor::alloc_stats().cumulative_allocations, mine);
+  EXPECT_GE(tensor::process_allocations(), process + 1);
+}
+
 TEST(Pool, TrimReleasesParkedBlocks) {
   { Tensor t = Tensor::empty(Shape{2048}); }
   const auto freed = tensor::trim_pool();
@@ -202,7 +214,8 @@ class PoolTrainingLoop
 // After the first epoch warms the pool, later epochs must allocate nothing:
 // every per-iteration tensor comes back out of the free lists. This is the
 // allocation-regression guard for both 2-branch (CQ-A) and 4-branch (CQ-C)
-// pipelines.
+// pipelines. The counts are process-wide, so pool workers running conv
+// chunks are inside the guard too.
 TEST_P(PoolTrainingLoop, SteadyStateHeapAllocationsAreZero) {
   auto scfg = data::synth_cifar_config();
   Rng data_rng(scfg.seed);

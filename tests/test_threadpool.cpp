@@ -150,6 +150,48 @@ TEST(ThreadPool, NestedDispatchRunsInlineWithoutDeadlock) {
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, SerialScopeRunsDispatchesInlineOnTheCaller) {
+  PoolSizeGuard guard(4);
+  EXPECT_FALSE(ThreadPool::runs_inline());
+  const auto caller = std::this_thread::get_id();
+  {
+    ThreadPool::SerialScope serial;
+    EXPECT_TRUE(ThreadPool::runs_inline());
+    {
+      ThreadPool::SerialScope nested;
+      EXPECT_TRUE(ThreadPool::runs_inline());
+    }
+    EXPECT_TRUE(ThreadPool::runs_inline());
+    int calls = 0;
+    core::parallel_for(1000, 1, [&](std::int64_t b, std::int64_t e) {
+      ++calls;  // one inline call covering the whole range
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_EQ(b, 0);
+      EXPECT_EQ(e, 1000);
+    });
+    EXPECT_EQ(calls, 1);
+  }
+  EXPECT_FALSE(ThreadPool::runs_inline());
+}
+
+TEST(ThreadPool, ChunkBodiesInSerialScopesNeverRedispatch) {
+  // The coarse-chunk pattern: the outer dispatch is the only level, even
+  // for chunks the caller itself executes while it waits.
+  PoolSizeGuard guard(4);
+  std::atomic<int> nested_parallel{0};
+  core::parallel_for(64, 1, [&](std::int64_t b, std::int64_t e) {
+    ThreadPool::SerialScope serial;
+    for (std::int64_t c = b; c < e; ++c) {
+      const auto chunk_thread = std::this_thread::get_id();
+      core::parallel_for(256, 1, [&](std::int64_t, std::int64_t) {
+        if (std::this_thread::get_id() != chunk_thread)
+          nested_parallel.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  });
+  EXPECT_EQ(nested_parallel.load(), 0);
+}
+
 TEST(ThreadPool, ConcurrentCallersEachCoverTheirOwnRange) {
   // Several EXTERNAL threads dispatching into the shared pool at once — the
   // serve engine's shape (N workers all hitting parallel GEMM). Each caller

@@ -18,6 +18,7 @@
 #include "models/encoder.hpp"
 #include "serve/engine.hpp"
 #include "serve/queue.hpp"
+#include "testutil.hpp"
 #include "util/rng.hpp"
 
 // Global operator new/delete instrumentation for the steady-state
@@ -243,7 +244,7 @@ TEST(TraceExport, ChromeJsonIsBalancedOrderedAndNamesSpans) {
   for (const double d : extract_field(doc, "dur")) EXPECT_GE(d, 0.0);
 
   // File export writes the same document.
-  const std::string path = testing::TempDir() + "cq_trace_test.json";
+  const std::string path = test::temp_path("trace_test.json");
   ASSERT_TRUE(trace_export::chrome(path));
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
@@ -269,7 +270,7 @@ const std::string& trace_checkpoint() {
       enc.backbone->clear_cache();
     }
     enc.backbone->set_mode(nn::Mode::kEval);
-    std::string p = testing::TempDir() + "cq_trace_ckpt.bin";
+    std::string p = test::temp_path("trace_ckpt.bin");
     models::save_module(p, *enc.backbone);
     return p;
   }();

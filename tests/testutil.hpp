@@ -3,13 +3,24 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <functional>
+#include <string>
 
 #include "nn/module.hpp"
 #include "tensor/tensor.hpp"
 
 namespace cq::test {
+
+/// A file path under testing::TempDir() unique to this process.
+/// gtest_discover_tests runs every TEST as its own process, so under
+/// `ctest -j` a fixed name would be rewritten by one case while another
+/// reads it.
+inline std::string temp_path(const std::string& name) {
+  return testing::TempDir() + "cq_" + std::to_string(::getpid()) + "_" + name;
+}
 
 /// Scalar probe loss: L = sum_i w_i * y_i for fixed random weights w. Its
 /// gradient w.r.t. y is exactly w, which we feed to backward().
