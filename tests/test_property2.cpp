@@ -134,6 +134,13 @@ struct ArchCase {
   std::int64_t hw;
 };
 
+// Without this gtest prints the raw bytes of ArchCase, and so of the `arch`
+// pointer, which address-space randomisation moves on every run: the listed
+// case names then differ from one build to the next.
+void PrintTo(const ArchCase& c, std::ostream* os) {
+  *os << c.arch << "@" << c.hw;
+}
+
 class ArchProperty : public ::testing::TestWithParam<ArchCase> {};
 
 TEST_P(ArchProperty, EvalForwardShapeAndFiniteness) {
