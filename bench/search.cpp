@@ -363,7 +363,6 @@ ServiceResult run_service_load(std::int64_t rows, std::size_t clients,
   cfg.engine.in_w = kW;
   cfg.engine.workers = 1;
   cfg.engine.max_batch = 8;
-  cfg.engine.max_wait = std::chrono::microseconds(1000);
 
   // Index over synthetic unit-scale embeddings at the encoder's dim.
   Rng rng(0x5EA7C4);

@@ -7,8 +7,10 @@
 //     aborts the bench — a throughput number for a wrong answer is noise.
 //  2. Serial baseline: Engine with max_batch=1 under N closed-loop clients
 //     (each submits, waits, repeats).
-//  3. Batched: same engine configuration except max_batch/max_wait let the
-//     worker coalesce the concurrent clients into micro-batches.
+//  3. Batched: the same engine configuration except max_batch (32 vs 1).
+//     The worker is work-conserving — it forwards whatever is queued the
+//     moment it is free — so batches form from the concurrent clients'
+//     backlog, not from a batching window.
 //
 // The headline is batched/serial throughput; the engine must hold
 // equal-or-better p99 while doing it (on one core the win comes from
@@ -225,10 +227,8 @@ KindResult bench_kind(const std::string& checkpoint, serve::InstanceKind kind,
 
   serve::EngineConfig serial_cfg = cfg;
   serial_cfg.max_batch = 1;  // serial baseline: every request its own forward
-  serial_cfg.max_wait = std::chrono::microseconds(0);
   serve::EngineConfig batched_cfg = cfg;
   batched_cfg.max_batch = 32;
-  batched_cfg.max_wait = std::chrono::microseconds(2000);
 
   for (int round = 0; round < kRounds; ++round) {
     merge_best(res.serial, run_load(serial_cfg, clients, per_client),
@@ -273,7 +273,6 @@ serve::EngineConfig scale_config(const std::string& checkpoint,
   cfg.workers = workers;
   cfg.queue_capacity = 256;
   cfg.max_batch = max_batch;
-  cfg.max_wait = std::chrono::microseconds(max_batch > 1 ? 2000 : 0);
   return cfg;
 }
 
@@ -416,7 +415,7 @@ void write_json(const std::string& path, const KindResult& fp32,
                "  \"setup\": {\"arch\": \"resnet18\", \"input\": "
                "\"3x%lldx%lld\", \"workers\": 1, \"clients\": %llu, "
                "\"client_window\": %d, \"max_batch\": 32, "
-               "\"max_wait_us\": 2000, \"rounds\": %d, \"selection\": "
+               "\"rounds\": %d, \"selection\": "
                "\"best value per metric across rounds (throughput round for "
                "rps, min latency), rounds alternated — shared-host "
                "interference is additive\", \"note\": "
@@ -484,7 +483,6 @@ int smoke(const std::string& checkpoint) {
   cfg.in_w = kW;
   cfg.workers = 1;
   cfg.max_batch = 4;
-  cfg.max_wait = std::chrono::microseconds(1000);
   const auto r = run_load(cfg, 4, 1);
   if (r.served != 32 || r.steady_heap_allocs != 0) {
     std::fprintf(stderr, "smoke burst failed: served=%llu steady_allocs=%llu\n",

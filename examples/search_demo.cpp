@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
   cfg.engine.in_w = synth_cfg.width;
   cfg.engine.workers = 1;
   cfg.engine.max_batch = 8;
-  cfg.engine.max_wait = std::chrono::microseconds(1000);
   search::Service service(cfg, std::move(index));
 
   // 4. Concurrent clients: encode + scan, overfetch 4x, cosine rerank.

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   models::save_module(checkpoint, *encoder.backbone);
   std::printf("checkpointed to %s\n", checkpoint.c_str());
 
-  // 3. Serve: one worker, micro-batches up to 8, 1ms batching window.
+  // 3. Serve: one worker, micro-batches of whatever is queued, up to 8.
   serve::EngineConfig cfg;
   cfg.checkpoint = checkpoint;
   cfg.in_h = synth_cfg.height;
@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
       kind == "int8" ? serve::InstanceKind::kInt8 : serve::InstanceKind::kFp32;
   cfg.workers = 1;
   cfg.max_batch = 8;
-  cfg.max_wait = std::chrono::microseconds(1000);
   serve::Engine engine(cfg);
   std::printf("engine up: %s instance, feature_dim=%lld\n",
               serve::instance_kind_name(cfg.instance),

@@ -157,10 +157,10 @@ void Engine::worker_main(Worker& w) {
   for (;;) {
     std::size_t stolen = 0;
     {
-      // Includes the bounded wait for the batch to fill (max_wait).
+      // Idle wait for the first request (bounded by first_wait) plus the
+      // drain of what is already queued; no wait to fill the batch.
       CQ_TRACE_SCOPE("serve.batch_form");
-      (void)own.pop_batch_for(batch, config_.max_batch, config_.max_wait,
-                              first_wait);
+      (void)own.pop_batch_for(batch, config_.max_batch, first_wait);
       if (batch.empty() && nq > 1) {
         for (std::size_t o = 1; o < nq && batch.size() < config_.max_batch;
              ++o)
@@ -207,6 +207,7 @@ void Engine::worker_main(Worker& w) {
         queue_us[i] = micros_between(batch[i]->enqueue_time, dequeue_time);
         total_us[i] = micros_between(batch[i]->enqueue_time, done);
       }
+      const std::uint64_t forward_us = micros_between(dequeue_time, done);
       {
         std::lock_guard<std::mutex> lock(w.stats_mu);
         ++w.stats.batches;
@@ -218,6 +219,7 @@ void Engine::worker_main(Worker& w) {
             std::max<std::uint64_t>(w.stats.max_batch_seen, n);
         ++w.stats.batch_hist[std::min(n, kBatchHistBuckets) - 1];
         w.stats.steady_heap_allocs += allocs_after - allocs_before;
+        w.stats.forward_latency.record(forward_us);
         for (std::size_t i = 0; i < n; ++i) {
           w.stats.queue_latency.record(queue_us[i]);
           w.stats.total_latency.record(total_us[i]);
@@ -259,6 +261,7 @@ EngineStats Engine::stats() const {
       s.warmup_heap_allocs += w->stats.warmup_heap_allocs;
       s.steady_heap_allocs += w->stats.steady_heap_allocs;
       s.queue_latency.merge(w->stats.queue_latency);
+      s.forward_latency.merge(w->stats.forward_latency);
       s.total_latency.merge(w->stats.total_latency);
       for (std::size_t i = 0; i < kBatchHistBuckets; ++i)
         s.batch_hist[i] += w->stats.batch_hist[i];

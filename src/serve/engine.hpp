@@ -9,14 +9,16 @@
 // Architecture (DESIGN.md §10, §14): submit() round-robins across one
 // bounded lock-free RequestQueue PER worker (sharded, so producers and the
 // worker pool never contend on a single queue lock), falling back to any
-// shard with room before rejecting. Each worker pops dynamic micro-batches
-// from its OWN queue (fills to max_batch or the max_wait window, whichever
-// first), stealing from sibling queues when its own runs empty, then
-// filters expired deadlines, collates into a pre-warmed batch tensor,
-// forwards through a per-worker compiled ModelInstance, and scatters
-// feature rows back. Per-worker stats (latency histograms, batch-size
-// histograms, per-queue depths, steal counts, heap-allocation deltas)
-// aggregate on demand into EngineStats / stats_json().
+// shard with room before rejecting. Each worker pops work-conserving
+// micro-batches from its OWN queue — the moment it is free it takes
+// everything already queued, up to max_batch, and never waits for more —
+// stealing from sibling queues when its own runs empty, then filters
+// expired deadlines, collates into a pre-warmed batch tensor, forwards
+// through a per-worker compiled ModelInstance, and scatters feature rows
+// back. Per-worker stats (queue-wait, forward and total latency
+// histograms, batch-size histograms, per-queue depths, steal counts,
+// heap-allocation deltas) aggregate on demand into EngineStats /
+// stats_json().
 #pragma once
 
 #include <atomic>
@@ -50,15 +52,20 @@ struct EngineConfig {
   /// Worker threads. 0 is allowed: requests queue but never run — useful
   /// for testing admission control; stop() then fails them kShutdown.
   std::size_t workers = 1;
-  /// Micro-batching: a worker takes up to `max_batch` requests, waiting at
-  /// most `max_wait` past the first request's arrival for the batch to fill.
+  /// Micro-batching: a free worker takes up to `max_batch` requests — all
+  /// that are queued when it looks — and forwards them at once. Under load
+  /// batches grow from the backlog that builds while every worker is busy.
   std::size_t max_batch = 8;
+  /// Upper bound on batch-formation delay (time from a worker taking a
+  /// batch's first request to dispatching it). The batcher never waits to
+  /// fill a batch, so it meets any bound by construction; the field is kept
+  /// for configurations that state the bound explicitly.
   std::chrono::microseconds max_wait{500};
   /// Bounded queue capacity; submit() fails fast when full.
   std::size_t queue_capacity = 64;
-  /// Forward once per batch width (max_batch down to 1) per worker at
-  /// startup so steady-state serving performs zero heap allocations per
-  /// request regardless of how full each micro-batch runs.
+  /// Forward three times at max_batch per worker at startup so steady-state
+  /// serving performs zero heap allocations per request at any batch width
+  /// 1..max_batch (narrower batches run inside the same arena).
   bool prewarm = true;
 };
 

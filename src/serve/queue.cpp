@@ -108,20 +108,17 @@ std::size_t RequestQueue::try_pop_some(std::vector<Request*>& out,
 }
 
 std::size_t RequestQueue::pop_batch(std::vector<Request*>& out,
-                                    std::size_t max_batch,
-                                    std::chrono::microseconds max_wait) {
-  return pop_batch_for(out, max_batch, max_wait,
-                       std::chrono::microseconds::max());
+                                    std::size_t max_batch) {
+  return pop_batch_for(out, max_batch, std::chrono::microseconds::max());
 }
 
 std::size_t RequestQueue::pop_batch_for(std::vector<Request*>& out,
                                         std::size_t max_batch,
-                                        std::chrono::microseconds max_wait,
                                         std::chrono::microseconds first_wait) {
   CQ_CHECK(max_batch > 0);
   out.clear();
 
-  // Phase 1: block for the FIRST request (bounded by first_wait).
+  // Block for the FIRST request (bounded by first_wait).
   Request* first = try_pop_one();
   if (first == nullptr) {
     const bool bounded = first_wait != std::chrono::microseconds::max();
@@ -150,31 +147,10 @@ std::size_t RequestQueue::pop_batch_for(std::vector<Request*>& out,
     if (first == nullptr) return 0;  // closed+drained, or first_wait expired
   }
   out.push_back(first);
-
-  // Phase 2: the batching window opens when the first request is taken —
-  // linger up to `max_wait` for stragglers, but never return an empty batch
-  // late.
-  const Clock::time_point window_end = Clock::now() + max_wait;
-  for (;;) {
-    while (out.size() < max_batch) {
-      Request* r = try_pop_one();
-      if (r == nullptr) break;
-      out.push_back(r);
-    }
-    if (out.size() >= max_batch) break;
-    if (closed_.load(std::memory_order_acquire)) break;
-    if (Clock::now() >= window_end) break;
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    {
-      std::unique_lock<std::mutex> lk(wait_mu_);
-      Request* r = try_pop_one();
-      if (r != nullptr)
-        out.push_back(r);
-      else if (!closed_.load(std::memory_order_acquire))
-        wait_cv_.wait_until(lk, window_end);
-    }
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-  }
+  // Work-conserving: take whatever else is already queued and return at
+  // once. Batches grow from backlog that piled up while the worker was
+  // busy, never from waiting for stragglers.
+  try_pop_some(out, max_batch - 1);
   return out.size();
 }
 

@@ -1,12 +1,14 @@
 // Bounded lock-free MPMC request queue with fail-fast backpressure and
-// deadline-aware batch pops — the admission-control half of the serving
+// work-conserving batch pops — the admission-control half of the serving
 // engine.
 //
 // Producers call try_push(), which NEVER blocks: a full queue returns false
 // immediately so the client can shed load (the TensorRT/Triton "reject at
 // admission" policy rather than unbounded buffering). Consumers call
-// pop_batch(), which blocks for the FIRST request, then lingers up to
-// `max_wait` gathering more — the dynamic micro-batching window.
+// pop_batch(), which blocks for the FIRST request, then takes whatever else
+// is already queued (up to max_batch) and returns at once. Batches form from
+// backlog — requests that piled up while the worker was busy — never from a
+// timer, so a lone request is dispatched the moment a worker is free.
 //
 // Implementation (DESIGN.md §14): a Vyukov-style bounded MPMC ring. Each
 // cell carries a sequence number; producers claim a slot by CAS on the tail
@@ -44,19 +46,17 @@ class RequestQueue {
   bool try_push(Request* r);
 
   /// Pop up to `max_batch` requests into `out` (which is cleared first).
-  /// Blocks until at least one request is available, then waits at most
-  /// `max_wait` past the FIRST request's arrival for the batch to fill.
-  /// Returns the number popped; 0 means the queue is closed AND drained —
-  /// the consumer should exit.
-  std::size_t pop_batch(std::vector<Request*>& out, std::size_t max_batch,
-                        std::chrono::microseconds max_wait);
+  /// Blocks until at least one request is available, then adds every
+  /// request already queued behind it (up to `max_batch`) without waiting
+  /// for more. Returns the number popped; 0 means the queue is closed AND
+  /// drained — the consumer should exit.
+  std::size_t pop_batch(std::vector<Request*>& out, std::size_t max_batch);
 
   /// pop_batch that gives up on the FIRST request after `first_wait` instead
   /// of blocking indefinitely. Returns 0 with closed() false when the wait
   /// simply timed out — the sharded engine uses this to interleave sibling
   /// work-stealing scans with the blocking wait on its own queue.
   std::size_t pop_batch_for(std::vector<Request*>& out, std::size_t max_batch,
-                            std::chrono::microseconds max_wait,
                             std::chrono::microseconds first_wait);
 
   /// Non-blocking bulk pop of up to `max` requests APPENDED to `out` (no

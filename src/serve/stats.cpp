@@ -9,18 +9,33 @@
 namespace cq::serve {
 
 std::size_t LatencyHistogram::bucket_index(std::uint64_t micros) {
-  if (micros <= 1) return 0;
-  // index = round(log2(micros) * kBucketsPerOctave), computed in floats —
-  // the ~19% bucket width dwarfs any log2 rounding.
-  const double idx = std::log2(static_cast<double>(micros)) *
-                     static_cast<double>(kBucketsPerOctave);
-  const auto i = static_cast<std::size_t>(idx + 0.5);
-  return std::min(i, kBuckets - 1);
+  if (micros <= 1) return 0;  // 0 µs is filed with 1 µs
+  // Bucket i holds [bucket_lower(i), bucket_lower(i + 1)) — the range
+  // percentile() interpolates over — so index = floor(log2(micros) * 4).
+  // log2 is rounded, so settle the last step against the bucket edges
+  // themselves: a value a rounding error from an edge still lands in the
+  // bucket whose range contains it.
+  const double v = static_cast<double>(micros);
+  auto i = std::min(static_cast<std::size_t>(
+                        std::log2(v) * static_cast<double>(kBucketsPerOctave)),
+                    kBuckets - 1);
+  if (v < bucket_lower(i))
+    --i;
+  else if (i + 1 < kBuckets && v >= bucket_lower(i + 1))
+    ++i;
+  return i;
 }
 
 double LatencyHistogram::bucket_lower(std::size_t index) {
-  return std::exp2(static_cast<double>(index) /
-                   static_cast<double>(kBucketsPerOctave));
+  // Tabulated once: record() looks up two edges per sample.
+  static const std::array<double, kBuckets + 1> edges = [] {
+    std::array<double, kBuckets + 1> e{};
+    for (std::size_t i = 0; i < e.size(); ++i)
+      e[i] = std::exp2(static_cast<double>(i) /
+                       static_cast<double>(kBucketsPerOctave));
+    return e;
+  }();
+  return edges[index];
 }
 
 void LatencyHistogram::record(std::uint64_t micros) {
@@ -33,22 +48,23 @@ void LatencyHistogram::record(std::uint64_t micros) {
 double LatencyHistogram::percentile(double p) const {
   if (count_ == 0) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
-  const double target = p / 100.0 * static_cast<double>(count_);
+  // Nearest rank (1-based). p * count is exact for integral p, so the
+  // division only rounds quotients that are far from an integer.
+  const double rank = std::max(
+      1.0, std::ceil(p * static_cast<double>(count_) / 100.0));
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
     if (buckets_[i] == 0) continue;
     const auto next = seen + buckets_[i];
-    if (static_cast<double>(next) >= target) {
-      // Interpolate within the bucket by rank.
+    if (static_cast<double>(next) >= rank) {
+      // Interpolate by rank within the bucket holding the rank-th sample,
+      // at the rank's midpoint so the estimate stays strictly inside the
+      // bucket's [lower, upper) range.
       const double lo = bucket_lower(i);
       const double hi = bucket_lower(i + 1);
-      const double frac =
-          buckets_[i] == 0
-              ? 0.0
-              : (target - static_cast<double>(seen)) /
-                    static_cast<double>(buckets_[i]);
-      return std::min(lo + (hi - lo) * std::clamp(frac, 0.0, 1.0),
-                      static_cast<double>(max_));
+      const double frac = (rank - static_cast<double>(seen) - 0.5) /
+                          static_cast<double>(buckets_[i]);
+      return std::min(lo + (hi - lo) * frac, static_cast<double>(max_));
     }
     seen = next;
   }
@@ -126,6 +142,8 @@ std::string EngineStats::to_json() const {
   }
   os << "],\n  ";
   json_latency(os, "queue_latency", queue_latency);
+  os << ",\n  ";
+  json_latency(os, "forward_latency", forward_latency);
   os << ",\n  ";
   json_latency(os, "total_latency", total_latency);
   // Aggregate profiler table: per-op wall time over every instrumented

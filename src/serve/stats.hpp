@@ -2,10 +2,11 @@
 // JSON for dashboards and for bench/serve.cpp.
 //
 // LatencyHistogram uses fixed logarithmic buckets (quarter-octave, i.e. four
-// buckets per power of two) spanning 1µs..~70s. Recording is O(1) with no
-// allocation, percentile queries interpolate within a bucket, and the
-// relative error of any quantile is bounded by the bucket ratio 2^(1/4)
-// (~19%) — the same design point as HdrHistogram-style serving metrics.
+// buckets per power of two: bucket i holds [2^(i/4), 2^((i+1)/4)) µs).
+// Recording is O(1) with no allocation, and a percentile query interpolates
+// inside the bucket that holds the true nearest-rank sample, so its relative
+// error is bounded by the bucket ratio 2^(1/4) (~19%) — the same design
+// point as HdrHistogram-style serving metrics.
 #pragma once
 
 #include <array>
@@ -30,7 +31,8 @@ class LatencyHistogram {
     return count_ == 0 ? 0.0 : static_cast<double>(sum_) /
                                    static_cast<double>(count_);
   }
-  /// p in [0, 100]. Returns the interpolated bucket value in microseconds.
+  /// p in [0, 100]. Returns a value in microseconds inside the bucket that
+  /// holds the nearest-rank p-th sample (capped at max_micros()).
   double percentile(double p) const;
 
   /// Merge another histogram into this one (per-worker -> engine rollup).
@@ -67,8 +69,11 @@ struct WorkerStats {
   /// must be zero for the engine's zero-allocation claim to hold.
   std::uint64_t warmup_heap_allocs = 0;
   std::uint64_t steady_heap_allocs = 0;
-  LatencyHistogram queue_latency;  // submit -> dequeue
-  LatencyHistogram total_latency;  // submit -> completion
+  LatencyHistogram queue_latency;    // submit -> dequeue, per request
+  /// Dequeue -> results scattered (deadline filter, collate, forward,
+  /// scatter), one sample per batch: queue + forward ~= total.
+  LatencyHistogram forward_latency;
+  LatencyHistogram total_latency;    // submit -> completion, per request
 };
 
 /// Per-worker slice of an EngineStats snapshot: each worker owns one request
@@ -103,6 +108,7 @@ struct EngineStats {
   double uptime_seconds = 0.0;
   double throughput_rps = 0.0;  // served / uptime
   LatencyHistogram queue_latency;
+  LatencyHistogram forward_latency;  // per batch, see WorkerStats
   LatencyHistogram total_latency;
   BatchHist batch_hist{};  // merged batch-size distribution
   std::vector<WorkerSnapshot> workers;

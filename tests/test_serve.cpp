@@ -8,9 +8,11 @@
 // batch must not perturb anyone's result by even an ulp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "deploy/int8.hpp"
@@ -128,8 +130,32 @@ TEST(RequestQueue, PopBatchDrainsThenSignalsClose) {
   EXPECT_FALSE(q.try_push(&a));  // closed: no new admissions
   std::vector<serve::Request*> out;
   // Already-queued requests still drain after close.
-  EXPECT_EQ(q.pop_batch(out, 8, std::chrono::microseconds(0)), 2u);
-  EXPECT_EQ(q.pop_batch(out, 8, std::chrono::microseconds(0)), 0u);
+  EXPECT_EQ(q.pop_batch(out, 8), 2u);
+  EXPECT_EQ(q.pop_batch(out, 8), 0u);
+}
+
+// Work-conserving pop: everything already queued leaves in one call, capped
+// at max_batch, and the call returns at once — no producer is running, so
+// a pop that waited for the batch to fill would block.
+TEST(RequestQueue, PopBatchTakesEveryQueuedRequestWithoutBlocking) {
+  serve::RequestQueue q(16);
+  std::vector<serve::Request> reqs(10);
+  for (auto& r : reqs) ASSERT_TRUE(q.try_push(&r));
+  std::vector<serve::Request*> out;
+  const auto t0 = serve::Clock::now();
+  ASSERT_EQ(q.pop_batch(out, 16), 10u);
+  for (std::size_t i = 0; i < reqs.size(); ++i) EXPECT_EQ(out[i], &reqs[i]);
+  // A partial backlog: two full batches and the remainder, FIFO.
+  for (auto& r : reqs) ASSERT_TRUE(q.try_push(&r));
+  EXPECT_EQ(q.pop_batch(out, 4), 4u);
+  EXPECT_EQ(out[0], &reqs[0]);
+  EXPECT_EQ(q.pop_batch(out, 4), 4u);
+  EXPECT_EQ(out[0], &reqs[4]);
+  EXPECT_EQ(q.pop_batch(out, 4), 2u);
+  EXPECT_EQ(out[1], &reqs[9]);
+  EXPECT_LT(serve::Clock::now() - t0, std::chrono::milliseconds(100));
+  EXPECT_FALSE(q.closed());
+  EXPECT_EQ(q.depth(), 0u);
 }
 
 TEST(LatencyHistogram, PercentilesAndMerge) {
@@ -148,6 +174,61 @@ TEST(LatencyHistogram, PercentilesAndMerge) {
   h.merge(other);
   EXPECT_EQ(h.count(), 1001u);
   EXPECT_EQ(h.max_micros(), 5000u);
+}
+
+/// The quarter-octave bucket [2^(j/4), 2^((j+1)/4)) holding `v`, found by
+/// walking the edges rather than by log2 so it is independent of the
+/// histogram's own indexing.
+std::pair<double, double> quarter_octave_range(std::uint64_t v) {
+  std::size_t j = 0;
+  while (std::exp2(static_cast<double>(j + 1) / 4.0) <=
+         static_cast<double>(v))
+    ++j;
+  return {std::exp2(static_cast<double>(j) / 4.0),
+          std::exp2(static_cast<double>(j + 1) / 4.0)};
+}
+
+/// Every reported percentile must lie inside the value range of the bucket
+/// that holds the true nearest-rank sample.
+void expect_percentiles_in_true_bucket(std::vector<std::uint64_t> samples) {
+  serve::LatencyHistogram h;
+  for (std::uint64_t v : samples) h.record(v);
+  std::sort(samples.begin(), samples.end());
+  const auto n = static_cast<double>(samples.size());
+  for (double p : {1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0}) {
+    const auto rank =
+        static_cast<std::size_t>(std::max(1.0, std::ceil(p * n / 100.0)));
+    const std::uint64_t truth = samples[rank - 1];
+    const auto [lo, hi] = quarter_octave_range(truth);
+    const double got = h.percentile(p);
+    EXPECT_GE(got, lo) << "p" << p << " true sample " << truth;
+    EXPECT_LT(got, hi) << "p" << p << " true sample " << truth;
+  }
+}
+
+TEST(LatencyHistogram, PercentileLandsInTheTrueSamplesBucket) {
+  // 99 identical samples and one outlier: p50 is 84 µs, whose bucket is
+  // [80.6, 87.9).
+  std::vector<std::uint64_t> spike(99, 84);
+  spike.push_back(5000);
+  expect_percentiles_in_true_bucket(spike);
+  // Uniform 1000..1999 µs: p50 is 1500, in [1448, 1579).
+  std::vector<std::uint64_t> uniform;
+  for (std::uint64_t us = 1000; us < 2000; ++us) uniform.push_back(us);
+  expect_percentiles_in_true_bucket(uniform);
+  // Powers of two and their neighbours sit on or beside bucket edges.
+  std::vector<std::uint64_t> edges;
+  for (std::uint64_t k = 1; k < 30; ++k)
+    for (std::uint64_t d : {std::uint64_t{0}, std::uint64_t{1}})
+      edges.push_back((std::uint64_t{1} << k) - d);
+  expect_percentiles_in_true_bucket(edges);
+  // A heavy-tailed mix spanning seven decades.
+  Rng rng(41);
+  std::vector<std::uint64_t> mix;
+  for (int i = 0; i < 4000; ++i)
+    mix.push_back(static_cast<std::uint64_t>(
+        std::exp2(rng.uniform(0.0, 24.0))));
+  expect_percentiles_in_true_bucket(mix);
 }
 
 TEST(Engine, ServesCorrectFeaturesBitwise) {
@@ -190,7 +271,8 @@ TEST(Engine, DynamicBatchingCoalescesBursts) {
   auto cfg = base_config();
   cfg.workers = 1;
   cfg.max_batch = 8;
-  // Generous window: the whole burst must land in few batches.
+  // The burst is submitted far faster than one forward runs, so requests
+  // pile up behind the first batch and the next pop takes them together.
   cfg.max_wait = std::chrono::microseconds(200000);
   serve::Engine engine(cfg);
 
@@ -207,8 +289,8 @@ TEST(Engine, DynamicBatchingCoalescesBursts) {
   const auto stats = engine.stats();
   engine.stop();
 
-  // The burst was submitted well inside the batching window, so at least
-  // one multi-request batch must have formed...
+  // The burst queued up behind the first forward, so at least one
+  // multi-request batch must have formed...
   EXPECT_GE(stats.max_batch_seen, 2u);
   EXPECT_LE(stats.batches, 7u);
   // ...and batching must not have changed a single bit of any result.
@@ -219,6 +301,59 @@ TEST(Engine, DynamicBatchingCoalescesBursts) {
     for (std::int64_t c = 0; c < engine.feature_dim(); ++c)
       EXPECT_EQ(outs[i][static_cast<std::size_t>(c)], want.at(0, c));
   }
+}
+
+// Work-conserving dispatch: an idle worker forwards a lone request at once
+// instead of holding it for stragglers that never come.
+TEST(Engine, LoneRequestDoesNotWaitOutMaxWait) {
+  auto cfg = base_config();
+  cfg.workers = 1;
+  cfg.max_batch = 8;
+  cfg.max_wait = std::chrono::microseconds(200000);
+  serve::Engine engine(cfg);
+
+  const auto inputs = make_inputs(1, 24);
+  std::vector<float> out(static_cast<std::size_t>(engine.feature_dim()));
+  serve::Request r;
+  r.input = inputs[0].data();
+  r.output = out.data();
+  const auto t0 = serve::Clock::now();
+  ASSERT_TRUE(engine.submit(&r));
+  ASSERT_EQ(r.wait(), serve::Status::kOk);
+  const auto elapsed = serve::Clock::now() - t0;
+  engine.stop();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100))
+      << "a lone request sat out the batching window";
+  EXPECT_EQ(engine.stats().batches, 1u);
+}
+
+// Capacity at overload: with one worker and a burst three batches deep, the
+// backlog that builds behind the first forward fills at least one batch to
+// exactly max_batch — work-conserving pops still coalesce under load.
+TEST(Engine, OverloadBurstFormsFullBatches) {
+  auto cfg = base_config();
+  cfg.workers = 1;
+  cfg.max_batch = 4;
+  serve::Engine engine(cfg);
+
+  const std::size_t kBurst = 3 * cfg.max_batch;
+  const auto inputs = make_inputs(kBurst, 25);
+  std::vector<serve::Request> reqs(kBurst);
+  std::vector<std::vector<float>> outs(
+      kBurst,
+      std::vector<float>(static_cast<std::size_t>(engine.feature_dim())));
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    reqs[i].input = inputs[i].data();
+    reqs[i].output = outs[i].data();
+    ASSERT_TRUE(engine.submit(&reqs[i]));
+  }
+  for (auto& r : reqs) ASSERT_EQ(r.wait(), serve::Status::kOk);
+  engine.stop();
+
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.served, kBurst);
+  EXPECT_EQ(stats.max_batch_seen, cfg.max_batch);
+  EXPECT_GE(stats.batch_hist[cfg.max_batch - 1], 1u);
 }
 
 TEST(Engine, ExpiredDeadlineTimesOutWithoutForwarding) {
@@ -549,7 +684,8 @@ TEST(Engine, StatsJsonIsWellFormed) {
   EXPECT_EQ(depth, 0);
   for (const char* key :
        {"\"submitted\"", "\"served\"", "\"throughput_rps\"",
-        "\"queue_latency\"", "\"total_latency\"", "\"p50_us\"", "\"p99_us\"",
+        "\"queue_latency\"", "\"forward_latency\"", "\"total_latency\"",
+        "\"p50_us\"", "\"p99_us\"",
         "\"steady_heap_allocs\"", "\"mean_batch_size\"", "\"batch_hist\"",
         "\"workers\"", "\"stolen\""})
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;

@@ -298,8 +298,7 @@ TEST(MpmcQueue, ConcurrentProducersAndConsumersDeliverEveryRequestOnce) {
     consumers.emplace_back([&] {
       std::vector<serve::Request*> batch;
       for (;;) {
-        const std::size_t n =
-            q.pop_batch(batch, 8, std::chrono::microseconds{50});
+        const std::size_t n = q.pop_batch(batch, 8);
         if (n == 0) return;  // closed and drained
         for (serve::Request* r : batch) {
           const auto idx = static_cast<std::size_t>(r - reqs.data());
@@ -325,9 +324,7 @@ TEST(MpmcQueue, PopBatchForTimesOutEmptyWithoutClosing) {
   serve::RequestQueue q(4);
   std::vector<serve::Request*> out{reinterpret_cast<serve::Request*>(1)};
   const auto t0 = serve::Clock::now();
-  EXPECT_EQ(q.pop_batch_for(out, 8, std::chrono::microseconds{0},
-                            std::chrono::microseconds{2000}),
-            0u);
+  EXPECT_EQ(q.pop_batch_for(out, 8, std::chrono::microseconds{2000}), 0u);
   EXPECT_TRUE(out.empty());  // cleared even on timeout
   EXPECT_FALSE(q.closed());
   EXPECT_GE(serve::Clock::now() - t0, std::chrono::microseconds{1000});
@@ -337,9 +334,7 @@ TEST(MpmcQueue, PopBatchForTimesOutEmptyWithoutClosing) {
     std::this_thread::sleep_for(std::chrono::milliseconds{2});
     ASSERT_TRUE(q.try_push(&r));
   });
-  EXPECT_EQ(q.pop_batch_for(out, 8, std::chrono::microseconds{0},
-                            std::chrono::microseconds{500000}),
-            1u);
+  EXPECT_EQ(q.pop_batch_for(out, 8, std::chrono::microseconds{500000}), 1u);
   EXPECT_EQ(out[0], &r);
   pusher.join();
 }
@@ -361,7 +356,7 @@ TEST(MpmcQueue, CloseWakesBlockedConsumerPromptly) {
   std::atomic<bool> done{false};
   std::thread consumer([&] {
     std::vector<serve::Request*> batch;
-    EXPECT_EQ(q.pop_batch(batch, 8, std::chrono::microseconds{1000}), 0u);
+    EXPECT_EQ(q.pop_batch(batch, 8), 0u);
     done.store(true, std::memory_order_release);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds{5});
